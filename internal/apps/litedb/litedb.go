@@ -94,9 +94,13 @@ type DB struct {
 
 	mu simnet.Mutex // exclusive locking mode: one txn at a time
 
-	dbFile  core.File
-	wal     core.File
-	dirty   map[int][]byte // pageID -> current page image (not yet checkpointed)
+	dbFile core.File
+	wal    core.File
+	dirty  map[int][]byte // pageID -> current page image (not yet checkpointed)
+	// page receives non-dirty page reads. It is reused, which is safe
+	// because every reader holds mu across the Pread park and copies what
+	// it keeps out of it (pageGet, pageSet).
+	page    []byte
 	salt    uint64
 	walOff  int64
 	frameSz int64
@@ -118,7 +122,7 @@ func (db *DB) walFlags() core.OpenFlag {
 
 // Open creates a fresh database.
 func Open(p *simnet.Proc, fs *core.FS, cfg Config) (*DB, error) {
-	db := &DB{fs: fs, node: fs.Node(), cfg: cfg, dirty: make(map[int][]byte), salt: 1}
+	db := &DB{fs: fs, node: fs.Node(), cfg: cfg, dirty: make(map[int][]byte), page: make([]byte, cfg.PageSize), salt: 1}
 	db.frameSz = int64(frameHdrLen + cfg.PageSize)
 	f, err := fs.OpenFile(p, cfg.Path, core.O_CREATE|core.O_EXTENT, 0)
 	if err != nil {
@@ -138,16 +142,18 @@ func (db *DB) pageOf(key string) int {
 }
 
 // readPage returns the current image of a page: the dirty copy if present,
-// else the database file content (zero page if never written).
+// else the database file content (zero page if never written) in db.page,
+// valid until the next readPage. Caller holds db.mu.
 func (db *DB) readPage(p *simnet.Proc, id int) ([]byte, error) {
 	if img, ok := db.dirty[id]; ok {
 		return img, nil
 	}
-	img := make([]byte, db.cfg.PageSize)
-	if _, err := db.dbFile.Pread(p, img, int64(id)*int64(db.cfg.PageSize)); err != nil {
+	n, err := db.dbFile.Pread(p, db.page, int64(id)*int64(db.cfg.PageSize))
+	if err != nil {
 		return nil, err
 	}
-	return img, nil
+	clear(db.page[n:]) // past EOF reads as zeros
+	return db.page, nil
 }
 
 // Page content: [2B count] then entries [2B klen][2B vlen][key][value],
@@ -330,7 +336,7 @@ func (db *DB) Close(p *simnet.Proc) {
 // recover the WAL (from NCL peers in SplitFT mode), replay the newest
 // generation of frames, then checkpoint and restart the WAL cleanly.
 func Recover(p *simnet.Proc, fs *core.FS, cfg Config) (*DB, error) {
-	db := &DB{fs: fs, node: fs.Node(), cfg: cfg, dirty: make(map[int][]byte), salt: 1}
+	db := &DB{fs: fs, node: fs.Node(), cfg: cfg, dirty: make(map[int][]byte), page: make([]byte, cfg.PageSize), salt: 1}
 	db.frameSz = int64(frameHdrLen + cfg.PageSize)
 	f, err := fs.OpenFile(p, cfg.Path, core.O_CREATE|core.O_EXTENT, 0)
 	if err != nil {

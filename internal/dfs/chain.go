@@ -309,6 +309,7 @@ func (cl *Client) writeChunk(p *simnet.Proc, ch chunk) ([]extSeg, error) {
 
 // readExtentRange fetches n bytes at off within a manifest segment's
 // extent, falling over to the next chain member when one is unreachable.
+// The result aliases the serving replica's log: copy it, never write it.
 func (cl *Client) readExtentRange(p *simnet.Proc, sg extSeg, off, n int64) ([]byte, error) {
 	var lastErr error
 	for _, addr := range sg.nodes {

@@ -28,6 +28,7 @@ package dfs
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -269,6 +270,8 @@ type span struct{ start, end int64 }
 // overlapping and adjacent ranges. Empty spans are dropped: a zero-length
 // write dirties nothing, and inserting one would break the non-empty
 // invariant everything downstream (flush packing, extent appends) relies on.
+// spans is edited in place, like append: callers that hand a span set off
+// (a flush taking the dirty list) must replace theirs, not keep adding to it.
 func addSpan(spans []span, s span) []span {
 	if s.end <= s.start {
 		return spans
@@ -284,11 +287,7 @@ func addSpan(spans []span, s span) []span {
 		}
 		j++
 	}
-	out := make([]span, 0, len(spans)-(j-i)+1)
-	out = append(out, spans[:i]...)
-	out = append(out, s)
-	out = append(out, spans[j:]...)
-	return out
+	return slices.Replace(spans, i, j, s)
 }
 
 func spanBytes(spans []span) int64 {

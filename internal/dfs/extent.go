@@ -67,6 +67,10 @@ func (r *extReadResp) UnmarshalWire(m wire.Msg) error {
 	return nil
 }
 
+// errExtRange rejects an extent request whose offset or length cannot name
+// a range of an extent (negative, or past the extent's capacity).
+var errExtRange = errors.New("dfs: extent request out of range")
+
 // ChainNodeError blames a specific chain member for a failed append: a
 // node whose forward to the next hop times out wraps the failure with the
 // next hop's address, so the client learns which node to exclude when it
@@ -205,6 +209,10 @@ func (en *extNode) handle(p *simnet.Proc, m simnet.Msg) (simnet.Msg, error) {
 func (en *extNode) handleAppend(p *simnet.Proc, m simnet.Msg) (simnet.Msg, error) {
 	pm := en.store.c.params
 	ext, off, data, rest := m.U[0], int64(m.U[1]), m.B, m.Strs
+	if off < 0 || off > pm.ExtentSize-int64(len(data)) {
+		return simnet.Msg{}, fmt.Errorf("%w: node %s: append of %d bytes at offset %d into a %d-byte extent",
+			errExtRange, en.addr, len(data), off, pm.ExtentSize)
+	}
 	// The frame occupies this node's ingress link, then pays the fixed
 	// append cost (log-index update, memory commit).
 	sleepUntil(p, reservePipe(en.store.c.sim, &en.ingressBusy, int64(len(data)), pm.LinkBandwidth))
@@ -244,17 +252,23 @@ func (en *extNode) handleAppend(p *simnet.Proc, m simnet.Msg) (simnet.Msg, error
 func (en *extNode) handleRead(p *simnet.Proc, m simnet.Msg) (simnet.Msg, error) {
 	pm := en.store.c.params
 	ext, off, n := m.U[0], int64(m.U[1]), int64(m.U[2])
+	if off < 0 || n < 0 {
+		return simnet.Msg{}, fmt.Errorf("%w: node %s: read of %d bytes at offset %d",
+			errExtRange, en.addr, n, off)
+	}
 	rep := en.extents[ext]
-	if rep == nil || off+n > int64(len(rep.data)) {
+	if rep == nil || off > int64(len(rep.data))-n {
 		return simnet.Msg{}, fmt.Errorf("dfs: extent node %s: extent %d range [%d,%d) not resident",
 			en.addr, ext, off, off+n)
 	}
 	sleepUntil(p, reservePipe(en.store.c.sim, &en.egressBusy, n, pm.LinkBandwidth))
 	p.Sleep(pm.AppendFixed)
-	out := make([]byte, n)
-	copy(out, rep.data[off:off+n])
 	en.store.c.BytesRead += n
-	return simnet.Msg{Code: codeExtReadResp, B: out}, nil
+	// Zero-copy: a replica is append-only, so the range's bytes never
+	// change once stored (a grow that reallocates leaves them in the old
+	// array, a crash drops the whole replica). The capped alias also keeps
+	// a later append from reaching them through the reply.
+	return simnet.Msg{Code: codeExtReadResp, B: rep.data[off : off+n : off+n]}, nil
 }
 
 // reconstruct rebuilds a manifest's logical content from whichever

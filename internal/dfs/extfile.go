@@ -1,8 +1,10 @@
 package dfs
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -41,52 +43,66 @@ type extSeg struct {
 }
 
 // extManifest is an extent-backed file's durable metadata: sorted,
-// non-overlapping segments mapping the logical file onto extents. It is
-// immutable once installed on the inode; a flush commits by swapping in a
-// spliced clone, so a client crash mid-flush leaves the old manifest — and
-// therefore the old file content — intact, exactly like an fsync that
-// never returned.
+// non-overlapping, non-empty segments mapping the logical file onto
+// extents. It is immutable once installed on the inode; a flush commits by
+// swapping in the merged successor built by commit, so a client crash
+// mid-flush leaves the old manifest — and therefore the old file content —
+// intact, exactly like an fsync that never returned.
 type extManifest struct {
 	size int64
 	segs []extSeg
 }
 
-func (m *extManifest) clone() *extManifest {
-	q := &extManifest{size: m.size, segs: make([]extSeg, len(m.segs))}
-	copy(q.segs, m.segs)
-	return q
-}
-
-// splice inserts sg, trimming older segments it overlaps: an overwrite
-// (e.g. a litedb checkpoint Pwrite) appends fresh bytes to the log and
-// shadows the range of whatever extent held them before.
-func (m *extManifest) splice(sg extSeg) {
-	out := m.segs[:0:0]
+// commit returns the manifest that results from laying segs over m:
+// every old segment a new one overlaps is trimmed to the parts it still
+// owns, so an overwrite (e.g. a litedb checkpoint Pwrite) appends fresh
+// bytes to the log and shadows the range of whatever extent held them
+// before. The segments in segs must each be non-empty and pairwise
+// disjoint (a flush's chunks are); their order does not matter, and commit
+// sorts them in place. One merge pass over the two sorted lists builds the
+// result in a single allocation: O(n + k log k) for k new segments over n
+// old ones. m itself is left untouched.
+func (m *extManifest) commit(segs []extSeg) *extManifest {
+	slices.SortFunc(segs, func(a, b extSeg) int { return cmp.Compare(a.logStart, b.logStart) })
+	// Each new segment adds itself and splits at most one old segment in
+	// two, so n+2k bounds the result.
+	out := make([]extSeg, 0, len(m.segs)+2*len(segs))
+	size := m.size
+	j := 0
 	for _, old := range m.segs {
-		if old.logEnd <= sg.logStart || old.logStart >= sg.logEnd {
+		for j < len(segs) && segs[j].logEnd <= old.logStart {
+			out = append(out, segs[j])
+			j++
+		}
+		// The segs[j] that start before old ends overlap it: keep the part
+		// of old before each, and go on with the part after it.
+		for j < len(segs) && segs[j].logStart < old.logEnd {
+			sg := segs[j]
+			if old.logStart < sg.logStart {
+				left := old
+				left.logEnd = sg.logStart
+				out = append(out, left)
+			}
+			if sg.logEnd >= old.logEnd {
+				// sg shadows the rest of old and may reach into the next
+				// old segment, which emits it.
+				old.logStart = old.logEnd
+				break
+			}
+			out = append(out, sg)
+			j++
+			old.extOff += sg.logEnd - old.logStart
+			old.logStart = sg.logEnd
+		}
+		if old.logStart < old.logEnd {
 			out = append(out, old)
-			continue
-		}
-		if old.logStart < sg.logStart {
-			left := old
-			left.logEnd = sg.logStart
-			out = append(out, left)
-		}
-		if old.logEnd > sg.logEnd {
-			right := old
-			right.extOff += sg.logEnd - old.logStart
-			right.logStart = sg.logEnd
-			out = append(out, right)
 		}
 	}
-	i := sort.Search(len(out), func(i int) bool { return out[i].logStart > sg.logStart })
-	out = append(out, extSeg{})
-	copy(out[i+1:], out[i:])
-	out[i] = sg
-	m.segs = out
-	if sg.logEnd > m.size {
-		m.size = sg.logEnd
+	out = append(out, segs[j:]...)
+	if n := len(segs); n > 0 && segs[n-1].logEnd > size {
+		size = segs[n-1].logEnd
 	}
+	return &extManifest{size: size, segs: out}
 }
 
 // ExtentFile is an open handle on an extent-backed file. Writes buffer in
@@ -241,7 +257,7 @@ func (f *ExtentFile) pack(p *simnet.Proc, spans []span) ([]chunk, error) {
 }
 
 // flushExt is the extent fsync: pack dirty spans into chunks, pump every
-// chunk down its chain concurrently, then commit the spliced manifest.
+// chunk down its chain concurrently, then commit the merged manifest.
 func (f *ExtentFile) flushExt(p *simnet.Proc) error {
 	cl := f.client
 	if err := cl.checkAlive(); err != nil {
@@ -305,14 +321,9 @@ func (f *ExtentFile) flushExt(p *simnet.Proc) error {
 			return e
 		}
 	}
-	// Commit: splice the new segments into a manifest clone, then install
+	// Commit: merge the new segments into a successor manifest, then install
 	// it atomically on the inode (one metadata op).
-	man := f.df.ext.clone()
-	for _, segs := range results {
-		for _, sg := range segs {
-			man.splice(sg)
-		}
-	}
+	man := f.df.ext.commit(slices.Concat(results...))
 	p.Sleep(pm.MetaFixed)
 	f.df.ext = man
 	cl.cluster.ExtentSyncs++
@@ -397,10 +408,12 @@ func missingRanges(resident []span, want span) []span {
 // extents holding it (manifest holes read as zeros).
 func (f *ExtentFile) fetchRange(p *simnet.Proc, s span) error {
 	f.view = grow(f.view, s.end)
-	for _, sg := range f.df.ext.segs {
-		if sg.logEnd <= s.start || sg.logStart >= s.end {
-			continue
-		}
+	// The manifest is immutable, so the slice stays valid across the
+	// fetches' parks even if a concurrent flush installs a successor.
+	segs := f.df.ext.segs
+	i := sort.Search(len(segs), func(i int) bool { return segs[i].logEnd > s.start })
+	for ; i < len(segs) && segs[i].logStart < s.end; i++ {
+		sg := segs[i]
 		lo, hi := s.start, s.end
 		if sg.logStart > lo {
 			lo = sg.logStart

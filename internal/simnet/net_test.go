@@ -2,7 +2,6 @@ package simnet
 
 import (
 	"errors"
-	"runtime"
 	"testing"
 	"time"
 
@@ -160,11 +159,7 @@ func TestRPCEchoSteadyStateZeroAlloc(t *testing.T) {
 		// early, so the event heap only reaches its steady size (one dead
 		// event per call in the last DefaultRPCTimeout) after ~200ms.
 		p.Sleep(DefaultRPCTimeout + 50*time.Millisecond)
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
-		p.Sleep(100 * time.Millisecond) // ~2000 calls
-		runtime.ReadMemStats(&m1)
-		delta = m1.Mallocs - m0.Mallocs
+		delta = mallocsDuring(p, 100*time.Millisecond) // ~2000 calls
 		s.Stop()
 	})
 	if err := s.Run(); err != nil {

@@ -167,6 +167,23 @@ func TestWaiterRecyclingAcrossTimeoutsAndSignals(t *testing.T) {
 	}
 }
 
+// mallocsDuring returns how many heap allocations the process makes while p
+// sleeps for d of virtual time. MemStats.Mallocs is process-global and also
+// counts runtime-internal allocations, such as per-P sudog cache refills
+// when goroutines migrate between Ps under host load; so, as
+// testing.AllocsPerRun does, GOMAXPROCS is pinned to 1 for the window (and
+// restored afterwards), and the workload runs once under the pin before
+// the count starts, refilling the caches of the one P left.
+func mallocsDuring(p *Proc, d time.Duration) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	p.Sleep(d)
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	p.Sleep(d)
+	runtime.ReadMemStats(&m1)
+	return m1.Mallocs - m0.Mallocs
+}
+
 // Steady-state Sleep churn must not allocate: events are values in reused
 // slabs and the self-continuation path touches no channel. Measured from
 // inside the simulation so warm-up (slab growth, goroutine stacks) is
@@ -185,12 +202,8 @@ func TestSleepChurnSteadyStateZeroAlloc(t *testing.T) {
 	}
 	var delta uint64
 	s.Go("monitor", func(p *Proc) {
-		p.Sleep(time.Millisecond) // warm-up: slabs reach steady capacity
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
-		p.Sleep(10 * time.Millisecond) // ~80k events
-		runtime.ReadMemStats(&m1)
-		delta = m1.Mallocs - m0.Mallocs
+		p.Sleep(time.Millisecond)                     // warm-up: slabs reach steady capacity
+		delta = mallocsDuring(p, 10*time.Millisecond) // ~80k events
 		s.Stop()
 	})
 	if err := s.Run(); err != nil {
@@ -231,11 +244,7 @@ func TestYieldAndChanChurnSteadyStateZeroAlloc(t *testing.T) {
 	var delta uint64
 	s.Go("monitor", func(p *Proc) {
 		p.Sleep(time.Millisecond)
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
-		p.Sleep(10 * time.Millisecond)
-		runtime.ReadMemStats(&m1)
-		delta = m1.Mallocs - m0.Mallocs
+		delta = mallocsDuring(p, 10*time.Millisecond)
 		s.Stop()
 	})
 	if err := s.Run(); err != nil {
